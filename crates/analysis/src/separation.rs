@@ -14,11 +14,39 @@
 //! convex hull of the (boundary, misplaced) trade-off; every candidate `R`
 //! is then *literally* checked against Definition 3, so a positive answer is
 //! always sound.
+//!
+//! # The cut search
+//!
+//! For each color in the role of `c₁` the search builds one flow network
+//! and solves the whole multiplier sweep on it:
+//!
+//! * Every capacity is scaled by the least common multiple of the sweep's
+//!   denominators: inner arcs carry that factor and terminal arcs the factor
+//!   times the multiplier, all integers. Scaling every capacity by one
+//!   factor leaves the set of minimum cuts unchanged.
+//! * The multipliers are applied in increasing order. Each one raises the
+//!   terminal capacities in place and augments from the previous maximum
+//!   flow, which raising capacities keeps feasible.
+//! * Each region is read off the final, failing breadth-first search of its
+//!   maximum flow: the particles reachable from the source in the residual
+//!   graph. For *any* maximum flow that set is the unique inclusion-minimal
+//!   source side of a minimum cut, so it is the region a solve from zero
+//!   flow on a fresh, unscaled network finds.
+//!
+//! The regions, and so the certificates, are therefore exactly those of a
+//! search that rebuilds the network for every multiplier; a test-only copy
+//! of that search checks it. Candidates are counted on particle indices,
+//! and only a certificate that is returned gets its list of nodes.
+
+use std::cmp::Ordering;
 
 use sops_core::{Color, Configuration};
 use sops_lattice::{Node, NodeSet, DIRECTIONS};
 
 use crate::flow::FlowNetwork;
+
+#[cfg(test)]
+mod oracle;
 
 /// A concrete witness region `R` together with its literally counted
 /// boundary and composition — everything Definition 3 talks about.
@@ -110,9 +138,300 @@ pub fn region_certificate(
     cert
 }
 
+/// Trade-off multipliers `m = num/den`, increasing, spanning "boundary is
+/// everything" (m → 0, giving R = ∅ or all) to "purity is everything"
+/// (m ≥ 3n ≥ any boundary, giving R = exactly the c₁ particles).
+const SWEEP: [(u64, u64); 12] = [
+    (1, 8),
+    (1, 4),
+    (1, 2),
+    (3, 4),
+    (1, 1),
+    (3, 2),
+    (2, 1),
+    (3, 1),
+    (4, 1),
+    (6, 1),
+    (12, 1),
+    (1_000_000, 1),
+];
+
+/// The least common multiple of the `SWEEP` denominators: with inner arcs
+/// of capacity `SCALE`, every multiplier is an integer terminal capacity.
+const SCALE: u64 = {
+    let mut scale = 1;
+    let mut i = 0;
+    while i < SWEEP.len() {
+        let den = SWEEP[i].1;
+        let (mut a, mut b) = (scale, den);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        scale = scale / a * den;
+        i += 1;
+    }
+    scale
+};
+
+// The warm start only ever raises terminal capacities.
+const _: () = {
+    let mut i = 1;
+    while i < SWEEP.len() {
+        let ((a, b), (c, d)) = (SWEEP[i - 1], SWEEP[i]);
+        assert!(a * d < c * b, "SWEEP multipliers must increase");
+        i += 1;
+    }
+};
+
+/// Marks an unoccupied site in a [`neighbor_table`] row.
+const EMPTY: u32 = u32::MAX;
+
+/// Each particle's six neighbors as particle indices, [`EMPTY`] where the
+/// site is unoccupied: the only hash probes of a search.
+fn neighbor_table(config: &Configuration) -> Vec<[u32; 6]> {
+    config
+        .particles()
+        .map(|(node, _)| {
+            DIRECTIONS.map(|d| {
+                config
+                    .index_at(node.neighbor(d))
+                    .map_or(EMPTY, |j| j as u32)
+            })
+        })
+        .collect()
+}
+
+fn contains(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// A candidate region, counted on particle indices. Its node list is built
+/// only when it is returned.
+struct Candidate {
+    /// The certificate with `region` left empty.
+    counts: SeparationCertificate,
+    members: Members,
+}
+
+enum Members {
+    /// The source side of a cut, as a bitmap over particle indices.
+    Cut(Vec<u64>),
+    /// The first `len` particles of the greedy component order.
+    Union(usize),
+}
+
+impl Candidate {
+    /// Whether both candidates are the same region, deciding on the counts
+    /// before comparing members.
+    fn same_region(&self, other: &Candidate, order: &[u32]) -> bool {
+        self.counts == other.counts
+            && match (&self.members, &other.members) {
+                (Members::Cut(a), Members::Cut(b)) => a == b,
+                (Members::Union(a), Members::Union(b)) => a == b,
+                // The sizes are equal, so containment is equality.
+                (Members::Cut(bits), Members::Union(len))
+                | (Members::Union(len), Members::Cut(bits)) => {
+                    order[..*len].iter().all(|&i| contains(bits, i as usize))
+                }
+            }
+    }
+
+    fn certificate(&self, config: &Configuration, order: &[u32]) -> SeparationCertificate {
+        let mut region: Vec<Node> = match &self.members {
+            Members::Cut(bits) => (0..config.len())
+                .filter(|&i| contains(bits, i))
+                .map(|i| config.position_of(i))
+                .collect(),
+            Members::Union(len) => order[..*len]
+                .iter()
+                .map(|&i| config.position_of(i as usize))
+                .collect(),
+        };
+        region.sort_unstable_by_key(|n| (n.x, n.y));
+        SeparationCertificate {
+            region,
+            ..self.counts.clone()
+        }
+    }
+}
+
+/// A configuration seen with one color in the role of `c₁`.
+struct View<'a> {
+    config: &'a Configuration,
+    nbrs: &'a [[u32; 6]],
+    reference: Color,
+    c1_total: usize,
+}
+
+impl<'a> View<'a> {
+    fn new(config: &'a Configuration, nbrs: &'a [[u32; 6]], reference: Color) -> Self {
+        let c1_total = config.particles().filter(|&(_, c)| c == reference).count();
+        View {
+            config,
+            nbrs,
+            reference,
+            c1_total,
+        }
+    }
+
+    fn is_c1(&self, i: usize) -> bool {
+        self.config.color_of(i) == self.reference
+    }
+
+    fn tally(
+        &self,
+        boundary_edges: u64,
+        region_size: usize,
+        c1_in_region: usize,
+    ) -> SeparationCertificate {
+        SeparationCertificate {
+            region: Vec::new(),
+            boundary_edges,
+            c1_in_region,
+            c1_outside: self.c1_total - c1_in_region,
+            region_size,
+            outside_size: self.nbrs.len() - region_size,
+        }
+    }
+
+    /// The cut network: particle `i` is node `i`, the source is node `n`
+    /// and the sink node `n + 1`. Edge `i` is particle `i`'s terminal arc
+    /// (source → `i` for `c₁`, `i` → sink otherwise) of capacity
+    /// `terminal`; every configuration edge carries `inner` both ways.
+    fn network(&self, inner: u64, terminal: u64) -> FlowNetwork {
+        let n = self.nbrs.len();
+        let mut edges = Vec::with_capacity(4 * n);
+        edges.extend((0..n).map(|i| {
+            if self.is_c1(i) {
+                (n, i, terminal, 0)
+            } else {
+                (i, n + 1, terminal, 0)
+            }
+        }));
+        for (i, row) in self.nbrs.iter().enumerate() {
+            for &j in row {
+                if j != EMPTY && i < j as usize {
+                    edges.push((i, j as usize, inner, inner));
+                }
+            }
+        }
+        FlowNetwork::new(n + 2, &edges)
+    }
+
+    /// The minimal source side of the minimum cut `net` last solved.
+    fn cut(&self, net: &FlowNetwork) -> Candidate {
+        let n = self.nbrs.len();
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        let (mut size, mut c1) = (0, 0);
+        for i in (0..n).filter(|&i| net.on_source_side(i)) {
+            bits[i / 64] |= 1 << (i % 64);
+            size += 1;
+            c1 += usize::from(self.is_c1(i));
+        }
+        let boundary = (0..n)
+            .filter(|&i| contains(&bits, i))
+            .flat_map(|i| self.nbrs[i])
+            .filter(|&j| j != EMPTY && !contains(&bits, j as usize))
+            .count();
+        Candidate {
+            counts: self.tally(boundary as u64, size, c1),
+            members: Members::Cut(bits),
+        }
+    }
+
+    /// The `c₁` components in greedy order, flattened: largest first, ties
+    /// in order of their lowest particle index. Returns the particles and
+    /// the offset at which each component ends.
+    fn components(&self) -> (Vec<u32>, Vec<usize>) {
+        let n = self.nbrs.len();
+        let mut seen = vec![false; n];
+        let mut found: Vec<u32> = Vec::new();
+        let mut spans = Vec::new();
+        for root in 0..n {
+            if seen[root] || !self.is_c1(root) {
+                continue;
+            }
+            seen[root] = true;
+            let begin = found.len();
+            found.push(root as u32);
+            let mut head = begin;
+            while let Some(&u) = found.get(head) {
+                head += 1;
+                for &j in &self.nbrs[u as usize] {
+                    if j != EMPTY && !seen[j as usize] && self.is_c1(j as usize) {
+                        seen[j as usize] = true;
+                        found.push(j);
+                    }
+                }
+            }
+            spans.push(begin..found.len());
+        }
+        spans.sort_by_key(|span| std::cmp::Reverse(span.len()));
+        let mut order = Vec::with_capacity(found.len());
+        let mut ends = Vec::with_capacity(spans.len());
+        for span in spans {
+            order.extend_from_slice(&found[span]);
+            ends.push(order.len());
+        }
+        (order, ends)
+    }
+
+    /// Every candidate region in sweep order: the cut of each `SWEEP`
+    /// multiplier, then the union of the largest `c₁` components, one more
+    /// component at a time. Returns them with the greedy order that
+    /// [`Members::Union`] indexes into.
+    fn candidates(&self) -> (Vec<Candidate>, Vec<u32>) {
+        let n = self.nbrs.len();
+        let mut out = Vec::new();
+        let mut net = self.network(SCALE, 0);
+        let mut terminal = 0;
+        for (num, den) in SWEEP {
+            let raised = SCALE / den * num;
+            for i in 0..n {
+                net.raise_capacity(i, raised - terminal);
+            }
+            terminal = raised;
+            net.max_flow(n, n + 1);
+            out.push(self.cut(&net));
+        }
+
+        // Each union step counts only the edges of the joining component:
+        // an edge to an earlier component stops being boundary, an edge to
+        // a particle outside the union becomes boundary.
+        let (order, ends) = self.components();
+        let mut joined = vec![u32::MAX; n];
+        let mut boundary = 0u64;
+        let mut begin = 0;
+        for (step, &end) in ends.iter().enumerate() {
+            let step = step as u32;
+            let component = &order[begin..end];
+            for &i in component {
+                joined[i as usize] = step;
+            }
+            for &j in component.iter().flat_map(|&i| &self.nbrs[i as usize]) {
+                if j != EMPTY {
+                    match joined[j as usize].cmp(&step) {
+                        Ordering::Less => boundary -= 1,
+                        Ordering::Equal => {}
+                        Ordering::Greater => boundary += 1,
+                    }
+                }
+            }
+            out.push(Candidate {
+                counts: self.tally(boundary, end, end),
+                members: Members::Union(end),
+            });
+            begin = end;
+        }
+        (out, order)
+    }
+}
+
 /// The region minimizing `den · boundary(R) + num · misplaced(R)` via a
 /// minimum cut, where misplaced counts `c₁` particles outside `R` plus
 /// non-`c₁` particles inside `R` (with the `reference` color as `c₁`).
+/// Of several minimizers it returns the smallest, which every minimizer
+/// contains.
 #[must_use]
 pub fn min_cut_region(
     config: &Configuration,
@@ -120,104 +439,45 @@ pub fn min_cut_region(
     num: u64,
     den: u64,
 ) -> SeparationCertificate {
-    let n = config.len();
-    let source = n;
-    let sink = n + 1;
-    let mut net = FlowNetwork::new(n + 2);
-    for i in 0..n {
-        if config.color_of(i) == reference {
-            net.add_edge(source, i, num);
-        } else {
-            net.add_edge(i, sink, num);
-        }
-    }
-    // Each configuration edge once, with scaled unit capacity.
-    for i in 0..n {
-        let node = config.position_of(i);
-        for d in DIRECTIONS {
-            let m = node.neighbor(d);
-            if let Some(j) = config.index_at(m) {
-                if i < j {
-                    net.add_undirected_edge(i, j, den);
-                }
-            }
-        }
-    }
-    let (_, side) = net.min_cut(source, sink);
-    let region: NodeSet = (0..n)
-        .filter(|&i| side[i])
-        .map(|i| config.position_of(i))
-        .collect();
-    region_certificate(config, &region, reference)
+    let nbrs = neighbor_table(config);
+    let view = View::new(config, &nbrs, reference);
+    let mut net = view.network(den, num);
+    net.max_flow(config.len(), config.len() + 1);
+    view.cut(&net).certificate(config, &[])
 }
 
 /// The Pareto profile of candidate regions from a multiplier sweep, for the
-/// `reference` color as `c₁`. Deduplicated; sorted by boundary size.
+/// `reference` color as `c₁`: one minimum-cut region per multiplier, then
+/// each monochromatic `c₁` component joined greedily largest-first (these
+/// cover witnesses that sit above the Lagrangian hull). Deduplicated, then
+/// stably sorted by boundary size and region size.
 #[must_use]
 pub fn separation_profile(config: &Configuration, reference: Color) -> Vec<SeparationCertificate> {
-    // Multipliers m = num/den spanning "boundary is everything" (m → 0,
-    // giving R = ∅ or all) to "purity is everything" (m ≥ 3n ≥ any boundary,
-    // giving R = exactly the c₁ particles).
-    const SWEEP: [(u64, u64); 12] = [
-        (1, 8),
-        (1, 4),
-        (1, 2),
-        (3, 4),
-        (1, 1),
-        (3, 2),
-        (2, 1),
-        (3, 1),
-        (4, 1),
-        (6, 1),
-        (12, 1),
-        (1_000_000, 1),
-    ];
-    let mut out: Vec<SeparationCertificate> = Vec::new();
-    for (num, den) in SWEEP {
-        let cert = min_cut_region(config, reference, num, den);
-        if !out.contains(&cert) {
-            out.push(cert);
+    let nbrs = neighbor_table(config);
+    let (candidates, order) = View::new(config, &nbrs, reference).candidates();
+    let mut kept: Vec<&Candidate> = Vec::new();
+    for candidate in &candidates {
+        // Unions grow strictly, so a union can only repeat one of the
+        // cuts, and those come first.
+        let mut cuts = kept
+            .iter()
+            .take_while(|k| matches!(k.members, Members::Cut(_)));
+        if !cuts.any(|k| k.same_region(candidate, &order)) {
+            kept.push(candidate);
         }
     }
-    // Direct candidates that need no relaxation: the exact c₁ set and each
-    // monochromatic c₁ component joined greedily largest-first. These cover
-    // witnesses that sit above the Lagrangian hull.
-    let mut components: Vec<Vec<Node>> = Vec::new();
-    let mut seen = NodeSet::new();
-    for (node, color) in config.particles() {
-        if color != reference || seen.contains(node) {
-            continue;
-        }
-        let mut comp = vec![node];
-        seen.insert(node);
-        let mut stack = vec![node];
-        while let Some(u) = stack.pop() {
-            for m in u.neighbors() {
-                if config.color_at(m) == Some(reference) && seen.insert(m) {
-                    comp.push(m);
-                    stack.push(m);
-                }
-            }
-        }
-        components.push(comp);
-    }
-    components.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    let mut region = NodeSet::new();
-    for comp in &components {
-        for &n in comp {
-            region.insert(n);
-        }
-        let cert = region_certificate(config, &region, reference);
-        if !out.contains(&cert) {
-            out.push(cert);
-        }
-    }
-    out.sort_by_key(|c| (c.boundary_edges, c.region_size));
-    out
+    kept.sort_by_key(|c| (c.counts.boundary_edges, c.counts.region_size));
+    kept.into_iter()
+        .map(|c| c.certificate(config, &order))
+        .collect()
 }
 
-/// Searches for a (β, δ)-separation witness, trying both colors in the role
-/// of `c₁`; returns the first certificate found.
+/// Searches for a (β, δ)-separation witness, trying `c₁` and then `c₂` in
+/// the role of `c₁`. For the first color with a witness it returns the
+/// first satisfying certificate of its [`separation_profile`]: the one with
+/// the fewest boundary edges, then the smallest region, then the earliest
+/// in sweep order (the cuts by increasing multiplier, then the component
+/// unions).
 ///
 /// A `Some` answer is always sound (the certificate is literally checked);
 /// a `None` answer means no witness appeared on the Lagrangian frontier of
@@ -247,20 +507,27 @@ pub fn is_separated(
     beta: f64,
     delta: f64,
 ) -> Option<SeparationCertificate> {
-    for reference in [Color::C1, Color::C2] {
-        for cert in separation_profile(config, reference) {
-            if cert.satisfies(beta, delta) {
-                return Some(cert);
-            }
-        }
-    }
-    None
+    let nbrs = neighbor_table(config);
+    [Color::C1, Color::C2].into_iter().find_map(|reference| {
+        let (candidates, order) = View::new(config, &nbrs, reference).candidates();
+        // The profile's first satisfying entry: duplicates the profile
+        // drops are equal to an entry before them, so they never change it.
+        candidates
+            .iter()
+            .filter(|c| c.counts.satisfies(beta, delta))
+            .min_by_key(|c| (c.counts.boundary_edges, c.counts.region_size))
+            .map(|c| c.certificate(config, &order))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sops_core::construct;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sops_chains::MarkovChain;
+    use sops_core::{construct, Bias, SeparationChain};
 
     /// Brute-force Definition 3 over all subsets (for n ≤ ~16).
     fn brute_force_separated(config: &Configuration, beta: f64, delta: f64) -> bool {
@@ -421,5 +688,94 @@ mod tests {
         // m → 0: boundary dominates; R collapses to ∅ or everything.
         let trivial = min_cut_region(&config, Color::C1, 1, 1_000_000);
         assert!(trivial.boundary_edges == 0);
+    }
+
+    /// Asserts that the warm-started search returns exactly what the
+    /// rebuild-per-multiplier oracle returns: every profile entry, and the
+    /// verdict at each `(β, δ)`.
+    fn assert_matches_oracle(config: &Configuration, pairs: &[(f64, f64)]) {
+        for reference in [Color::C1, Color::C2] {
+            assert_eq!(
+                separation_profile(config, reference),
+                oracle::separation_profile(config, reference),
+                "profile for {reference:?} of {config:?}"
+            );
+        }
+        for &(beta, delta) in pairs {
+            assert_eq!(
+                is_separated(config, beta, delta),
+                oracle::is_separated(config, beta, delta),
+                "β={beta}, δ={delta} on {config:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn matches_the_oracle_on_random_colorings(
+            seed in 0u64..1_000_000,
+            n in 6usize..40,
+            n1_frac in 0.1f64..0.9,
+            blob in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let nodes = if blob {
+                construct::random_blob(n, &mut rng)
+            } else {
+                construct::hexagonal_spiral(n)
+            };
+            let n1 = ((n as f64) * n1_frac) as usize;
+            let config = Configuration::new(construct::bicolor_random(nodes, n1, &mut rng)).unwrap();
+            assert_matches_oracle(&config, &[(0.5, 0.05), (1.0, 0.1), (2.0, 0.2), (4.0, 0.2), (6.0, 0.4)]);
+            for (num, den) in SWEEP {
+                prop_assert_eq!(
+                    min_cut_region(&config, Color::C1, num, den),
+                    oracle::min_cut_region(&config, Color::C1, num, den)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_oracle_on_fig3_grid_snapshots() {
+        // The Figure 3 base grid at n = 100, from one random seed
+        // configuration, sampled along each cell's chain.
+        let mut rng = StdRng::seed_from_u64(3);
+        let seed = construct::bicolor_random(construct::random_blob(100, &mut rng), 50, &mut rng);
+        for lambda in [0.5, 1.0, 2.0, 4.0, 6.0] {
+            for gamma in [0.5, 1.0, 81.0 / 79.0, 2.0, 4.0, 6.0] {
+                let chain = SeparationChain::new(Bias::new(lambda, gamma).unwrap());
+                let mut config = Configuration::new(seed.clone()).unwrap();
+                for _ in 0..3 {
+                    chain.run(&mut config, 20_000, &mut rng);
+                    assert_matches_oracle(&config, &[(4.0, 0.2), (2.0, 0.1), (6.0, 0.3)]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_residual_paths_fit_a_small_stack() {
+        // Lines of 20,000 particles, colored alternately and in pairs. On
+        // the paired line the warm-started residual paths run the length
+        // of the line, so the augmenting-path search must not recurse.
+        let line = construct::line_nodes(20_000);
+        let paired = line
+            .iter()
+            .enumerate()
+            .map(|(i, &node)| (node, if i / 2 % 2 == 0 { Color::C1 } else { Color::C2 }))
+            .collect();
+        for particles in [construct::bicolor_alternating(line), paired] {
+            let config = Configuration::new(particles).unwrap();
+            let verdict = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || is_separated(&config, 4.0, 0.2))
+                .unwrap()
+                .join()
+                .expect("the search fits a 2 MiB stack");
+            assert!(verdict.is_none());
+        }
     }
 }
