@@ -9,7 +9,8 @@
 //!
 //! Besides the console table, the run writes a machine-readable perf
 //! baseline to `BENCH_chain.json` at the repo root — per-size chain-step
-//! throughput plus the overhead of the disabled telemetry wrapper — and a
+//! throughput at λ = γ = 4, one accept-heavy λ = 4, γ = 1 row, plus the
+//! overhead of the disabled telemetry wrapper — and a
 //! demonstration telemetry stream to
 //! `results/logs/microbench-n100.telemetry.jsonl`.
 //!
@@ -85,6 +86,9 @@ fn seeded_config(n: usize) -> Configuration {
 struct Throughput {
     n: usize,
     swaps: bool,
+    /// The chain's `γ` (`λ` is always 4). Consumers treating the field as
+    /// optional (e.g. older `perf_guard` baselines) default to 4.
+    gamma: f64,
     /// `"sequential"` ([`MarkovChain::step`]), `"batched"`
     /// ([`SeparationChain::run_batched`]), or `"parallel"`
     /// ([`SeparationChain::run_parallel`]); consumers treating the field as
@@ -132,6 +136,7 @@ fn bench_chain_step() -> Vec<Throughput> {
             rows.push(Throughput {
                 n,
                 swaps,
+                gamma: 4.0,
                 kernel: "sequential",
                 threads: 1,
                 ns_per_step: ns,
@@ -144,6 +149,7 @@ fn bench_chain_step() -> Vec<Throughput> {
             rows.push(Throughput {
                 n,
                 swaps,
+                gamma: 4.0,
                 kernel: "batched",
                 threads: 1,
                 ns_per_step: ns,
@@ -160,6 +166,7 @@ fn bench_chain_step() -> Vec<Throughput> {
                 rows.push(Throughput {
                     n,
                     swaps,
+                    gamma: 4.0,
                     kernel: "parallel",
                     threads,
                     ns_per_step: ns,
@@ -167,6 +174,24 @@ fn bench_chain_step() -> Vec<Throughput> {
             }
         }
     }
+    // λ = 4, γ = 1: the integrated regime, where ~40% of steps are accepted
+    // swaps — the only row whose cost is dominated by the accept path
+    // (λ = γ = 4 accepts ~1.4% of steps).
+    let n = 100;
+    let chain = SeparationChain::new(Bias::new(4.0, 1.0).unwrap());
+    let mut config = seeded_config(n);
+    let mut rng = StdRng::seed_from_u64(1);
+    let ns = bench(&format!("chain_step/with_swaps/{n}/gamma1"), || {
+        black_box(chain.step(&mut config, &mut rng));
+    });
+    rows.push(Throughput {
+        n,
+        swaps: true,
+        gamma: 1.0,
+        kernel: "sequential",
+        threads: 1,
+        ns_per_step: ns,
+    });
     rows
 }
 
@@ -309,10 +334,11 @@ fn write_bench_chain_json(throughput: &[Throughput], overhead: &OverheadBaseline
     json.push_str("  \"throughput\": [\n");
     for (i, row) in throughput.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"n\": {}, \"swaps\": {}, \"kernel\": \"{}\", \"threads\": {}, \
-             \"ns_per_step\": {}, \"steps_per_sec\": {}}}{}\n",
+            "    {{\"n\": {}, \"swaps\": {}, \"gamma\": {}, \"kernel\": \"{}\", \
+             \"threads\": {}, \"ns_per_step\": {}, \"steps_per_sec\": {}}}{}\n",
             row.n,
             row.swaps,
+            json_f64(row.gamma),
             row.kernel,
             row.threads,
             json_f64(row.ns_per_step),

@@ -11,8 +11,11 @@
 //! `"kernel"` field; such rows are treated as sequential, so old
 //! baselines keep guarding the sequential kernel and simply skip the
 //! newer comparisons (likewise for pre-parallel baselines without
-//! `"threads"`). Both numbers are printed either way, so every CI run
-//! logs the current and recorded throughput side by side.
+//! `"threads"`). Rows are keyed on the chain's γ as well (`sequential[γ=1]`
+//! is the accept-heavy integrated-regime row); a row without a `"gamma"`
+//! field predates it and reads as γ = 4, the bias every older row used.
+//! Both numbers are printed either way, so every CI run logs the current
+//! and recorded throughput side by side.
 //!
 //! ```text
 //! perf_guard <baseline.json> <fresh.json> [--tolerance-pct <pct>]
@@ -24,17 +27,20 @@
 
 use std::process::ExitCode;
 
-/// The guarded rows: `n = 100`, swaps enabled, one per kernel.
+/// The guarded rows: `n = 100`, swaps enabled, one per kernel and γ.
 const GUARD_N: u64 = 100;
+
+/// The γ of a row without a `"gamma"` field.
+const DEFAULT_GAMMA: f64 = 4.0;
 
 /// Extracts `kernel → steps_per_sec` for the guarded rows from
 /// `BENCH_chain.json` text. The file is written line-per-row by the
 /// microbench harness, so a line-oriented scan is exact for its own output
 /// (and tolerant of reformatting, since it keys on the `"n"`/`"swaps"`/
-/// `"kernel"`/`"threads"` fields, not position). A row without a
+/// `"kernel"`/`"threads"`/`"gamma"` fields, not position). A row without a
 /// `"kernel"` field is a pre-batching sequential row; multi-thread rows
-/// are keyed `kernel[t=threads]` so each thread count is guarded as its
-/// own row.
+/// are keyed `kernel[t=threads]` and rows at γ ≠ 4 `kernel[γ=gamma]`, so
+/// each thread count and bias is guarded as its own row.
 fn throughput_rows(json: &str) -> Vec<(String, f64)> {
     let mut rows = Vec::new();
     for line in json.lines() {
@@ -54,6 +60,16 @@ fn throughput_rows(json: &str) -> Vec<(String, f64)> {
             if threads != "1" {
                 kernel = format!("{kernel}[t={threads}]");
             }
+        }
+        let gamma = match field(line, "\"gamma\":") {
+            None => DEFAULT_GAMMA,
+            Some(g) => match g.parse::<f64>() {
+                Ok(g) => g,
+                Err(_) => continue,
+            },
+        };
+        if gamma != DEFAULT_GAMMA {
+            kernel = format!("{kernel}[γ={gamma}]");
         }
         if let Some(sps) = field(line, "\"steps_per_sec\":").and_then(|v| v.parse().ok()) {
             rows.push((kernel, sps));
@@ -145,4 +161,26 @@ fn main() -> ExitCode {
     }
     println!("perf guard: OK ({compared} kernel(s) within tolerance)");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::throughput_rows;
+
+    #[test]
+    fn rows_are_keyed_on_kernel_threads_and_gamma() {
+        let json = r#"
+    {"n": 100, "swaps": true, "kernel": "sequential", "threads": 1, "ns_per_step": 20.0, "steps_per_sec": 50000000.0},
+    {"n": 100, "swaps": true, "gamma": 4.0, "kernel": "parallel", "threads": 2, "ns_per_step": 40.0, "steps_per_sec": 25000000.0},
+    {"n": 100, "swaps": true, "gamma": 1.0, "kernel": "sequential", "threads": 1, "ns_per_step": 80.0, "steps_per_sec": 12500000.0},
+    {"n": 100, "swaps": false, "gamma": 1.0, "kernel": "sequential", "threads": 1, "ns_per_step": 80.0, "steps_per_sec": 12500000.0},
+    {"n": 25, "swaps": true, "gamma": 1.0, "kernel": "sequential", "threads": 1, "ns_per_step": 80.0, "steps_per_sec": 12500000.0}
+"#;
+        let rows = throughput_rows(json);
+        let keys: Vec<&str> = rows.iter().map(|(k, _)| k.as_str()).collect();
+        // A row without "gamma" reads as γ = 4 and keeps its old key, so an
+        // older baseline still guards the same rows.
+        assert_eq!(keys, ["sequential", "parallel[t=2]", "sequential[γ=1]"]);
+        assert_eq!(rows[2].1, 12_500_000.0);
+    }
 }

@@ -266,7 +266,12 @@ impl SeparationChain {
     /// acceptance ratio itself comes from the chain's precomputed λ/γ power
     /// tables ([`sops_chains::metropolis::PowerTable`]) instead of per-accept
     /// `powi`, with lookups bit-identical to `PowerRatio::value()` over the
-    /// kernel's entire exponent range. It is
+    /// kernel's entire exponent range. Those exponents are also the counter
+    /// deltas of Lemma 9's `p` and `h`, so an accepted proposal commits with
+    /// them directly (two occupancy-map operations per move, three per
+    /// swap) instead of recounting both neighborhoods the way
+    /// [`Configuration::try_move_particle`] and [`Configuration::try_swap`]
+    /// do. It is
     /// RNG-stream- and state-identical to
     /// [`SeparationChain::propose_reference`], the unfused slow path kept as
     /// the testing oracle; the equivalence is pinned bit-for-bit by the
@@ -306,10 +311,13 @@ impl SeparationChain {
                 let e_new = ring.occupied_in(RING_TO_SIDE);
                 let ei = ring.colored_in(RING_FROM_SIDE, color);
                 let ei_new = ring.colored_in(RING_TO_SIDE, color);
-                if !self.metropolis_move(e_new - e, ei_new - ei, rng) {
+                let (de, dei) = (e_new - e, ei_new - ei);
+                if !self.metropolis_move(de, dei, rng) {
                     return StepOutcome::MoveRejectedMetropolis;
                 }
-                match config.try_move_particle(particle, to) {
+                // The exponents are the counter deltas: Δe = e′ − e and
+                // Δh = (e′ − e′_i) − (e − e_i).
+                match config.commit_move(particle, to, i64::from(de), i64::from(de - dei)) {
                     Ok(()) => StepOutcome::MoveAccepted,
                     Err(_) => StepOutcome::InvalidStateHold,
                 }
@@ -334,7 +342,9 @@ impl SeparationChain {
                 if !self.metropolis_swap(gain_i + gain_j, rng) {
                     return StepOutcome::SwapRejectedMetropolis;
                 }
-                match config.try_swap(from, to) {
+                // Every homogeneous neighbor a swapped particle gains is a
+                // heterogeneous edge lost: Δh = −(gain_i + gain_j).
+                match config.commit_swap(from, to, -i64::from(gain_i + gain_j)) {
                     Ok(()) => StepOutcome::SwapAccepted,
                     Err(_) => StepOutcome::InvalidStateHold,
                 }
@@ -993,7 +1003,7 @@ mod tests {
             Direction::NE,
         ));
         // InvalidStateHold: a certainly-accepted edge-losing move meets a
-        // corrupted zero edge counter — try_move_particle reports
+        // corrupted zero edge counter — the commit reports
         // CounterCorruption and the step holds.
         let mut corrupt = tri();
         corrupt.corrupt_edges_for_test(0);
@@ -1067,6 +1077,39 @@ mod tests {
         // The failed swap left both states untouched.
         assert_eq!(config.color_at(Node::new(1, 0)), Some(Color::C2));
         assert_eq!(ref_config.color_at(Node::new(1, 0)), Some(Color::C2));
+    }
+
+    #[test]
+    fn invalid_state_hold_on_move_counter_corruption() {
+        use sops_lattice::Node;
+        // λ = 1/2 certainly accepts the edge-losing move of particle 2 from
+        // (0,1) east to (1,1); the corrupted zero edge counter then rejects
+        // the commit in both kernels, without drawing.
+        let (from, to) = (Node::new(0, 1), Node::new(1, 1));
+        let mut config = tri();
+        config.corrupt_edges_for_test(0);
+        assert!(config.raster().is_some(), "the raster half must be checked");
+        let chain = SeparationChain::new(Bias::new(0.5, 1.0).unwrap());
+        let mut ref_config = config.clone();
+        let out = chain.propose(&mut config, 2, Direction::E, &mut ScriptedRng::forbidden());
+        let out_ref = chain.propose_reference(
+            &mut ref_config,
+            2,
+            Direction::E,
+            &mut ScriptedRng::forbidden(),
+        );
+        assert_eq!(out, StepOutcome::InvalidStateHold);
+        assert_eq!(out_ref, StepOutcome::InvalidStateHold);
+        // The failed move left the particle at `from` in the position
+        // table, the raster (`color_at`) and the map (`index_at`).
+        for c in [&config, &ref_config] {
+            assert_eq!(c.position_of(2), from);
+            assert_eq!(c.color_at(from), Some(Color::C2));
+            assert_eq!(c.index_at(from), Some(2));
+            assert_eq!(c.color_at(to), None);
+            assert_eq!(c.index_at(to), None);
+            assert_eq!(c.edge_count(), 0, "the corrupt counter is left as found");
+        }
     }
 
     #[test]

@@ -335,11 +335,9 @@ impl Configuration {
     #[must_use]
     pub fn ring_gather(&self, from: Node, dir: Direction) -> RingGather {
         match &self.grid {
-            // Raster path: eight direct byte probes by default, or the
-            // `ring-windows` row-window gather (see [`crate::grid`]'s
-            // `ring_codes`). `decode(0)` is `C1`, exactly the placeholder
-            // the map path leaves in unoccupied lanes, so both paths
-            // return identical values bit for bit.
+            // Raster path: eight direct byte probes. `decode(0)` is `C1`,
+            // exactly the placeholder the map path leaves in unoccupied
+            // lanes, so both paths return identical values bit for bit.
             Some(g) => RingGather::from_codes(g.ring_codes(from, dir)),
             None => {
                 let mut occupancy = 0u8;
@@ -378,6 +376,16 @@ impl Configuration {
         })
     }
 
+    /// The tracked `(e(σ), h(σ))` after applying a transition's deltas,
+    /// both checked by [`Configuration::checked_counter`] before the caller
+    /// mutates anything.
+    fn checked_counters(&self, d_edges: i64, d_hetero: i64) -> Result<(u64, u64), ChainStateError> {
+        Ok((
+            Self::checked_counter("edges", self.edges, d_edges)?,
+            Self::checked_counter("hetero", self.hetero, d_hetero)?,
+        ))
+    }
+
     /// Moves particle `index` to the adjacent unoccupied node `to`,
     /// maintaining the edge and heterogeneous-edge counts.
     ///
@@ -396,6 +404,12 @@ impl Configuration {
     /// tracked counters surfaced as typed errors (matching the
     /// `move_ratio`/`swap_ratio` convention). On error the configuration is
     /// left untouched.
+    ///
+    /// This is the *reference* commit: it recounts both neighborhoods from
+    /// scratch to derive the counter deltas. The fused proposal kernel
+    /// commits accepted moves from the deltas its ring gather already
+    /// holds instead, and the `kernel_equivalence` suite pins the two
+    /// against each other.
     ///
     /// # Errors
     ///
@@ -416,49 +430,83 @@ impl Configuration {
             "move target {to} is not adjacent to {from}"
         );
         assert!(!self.occupancy.contains(to), "move target {to} is occupied");
+        let color = self
+            .occupancy
+            .get(from)
+            .ok_or(ChainStateError::UnoccupiedSource(from))?
+            .color;
+        // The edges the particle has at `from` are removed, the ones it
+        // will have at `to` (not counting its own vacated node) are added.
+        let old_deg = self.occupied_neighbors(from);
+        let old_het = old_deg - self.colored_neighbors(from, color);
+        let new_deg = self.occupied_neighbors_excluding(to, from);
+        let new_het = new_deg - self.colored_neighbors_excluding(to, color, from);
+        self.commit_move(
+            index,
+            to,
+            i64::from(new_deg - old_deg),
+            i64::from(new_het - old_het),
+        )
+    }
+
+    /// Moves particle `index` to the adjacent unoccupied node `to` with the
+    /// counter deltas the caller already derived (the fused kernel's ring
+    /// gather: `Δe = e′ − e`, `Δh = (e′ − e′_i) − (e − e_i)`). Both
+    /// counters are checked before anything mutates, so on error the
+    /// configuration is untouched. Two occupancy-map operations.
+    ///
+    /// # Errors
+    ///
+    /// As [`Configuration::try_move_particle`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is not adjacent to the particle or is occupied in the
+    /// map (the latter detected by the insert itself, after the source
+    /// entry was lifted).
+    pub(crate) fn commit_move(
+        &mut self,
+        index: usize,
+        to: Node,
+        d_edges: i64,
+        d_hetero: i64,
+    ) -> Result<(), ChainStateError> {
+        let from = self.positions[index];
+        assert!(
+            from.is_adjacent(to),
+            "move target {to} is not adjacent to {from}"
+        );
+        let slot = self.move_entry(from, to, d_edges, d_hetero)?;
+        debug_assert_eq!(slot.index as usize, index);
+        if let Some(g) = &mut self.grid {
+            g.clear(from);
+        }
+        self.grid_occupy(to, grid::encode(slot.color));
+        Ok(())
+    }
+
+    /// The occupancy-map, position-table and counter half of a move with
+    /// known deltas, shared by [`Configuration::commit_move`] and
+    /// [`Configuration::apply_sharded_move`]; the raster is the caller's.
+    fn move_entry(
+        &mut self,
+        from: Node,
+        to: Node,
+        d_edges: i64,
+        d_hetero: i64,
+    ) -> Result<Slot, ChainStateError> {
+        let (edges, hetero) = self.checked_counters(d_edges, d_hetero)?;
         let slot = self
             .occupancy
             .remove(from)
             .ok_or(ChainStateError::UnoccupiedSource(from))?;
-        debug_assert_eq!(slot.index as usize, index);
-        let color = slot.color;
-        // The raster must mirror the map while the particle is lifted: the
-        // neighbor counts below read through it.
-        if let Some(g) = &mut self.grid {
-            g.clear(from);
+        if self.occupancy.insert(to, slot).is_some() {
+            panic!("move target {to} is occupied");
         }
-
-        // With the particle lifted off the board, plain neighbor counts at
-        // `from` and `to` are exactly the edges removed and added.
-        let old_deg = i64::from(self.occupied_neighbors(from));
-        let old_het =
-            i64::from(self.occupied_neighbors(from) - self.colored_neighbors(from, color));
-        let new_deg = i64::from(self.occupied_neighbors(to));
-        let new_het = i64::from(self.occupied_neighbors(to) - self.colored_neighbors(to, color));
-
-        let outcome =
-            Self::checked_counter("edges", self.edges, new_deg - old_deg).and_then(|edges| {
-                Self::checked_counter("hetero", self.hetero, new_het - old_het)
-                    .map(|hetero| (edges, hetero))
-            });
-        match outcome {
-            Ok((edges, hetero)) => {
-                self.edges = edges;
-                self.hetero = hetero;
-                self.occupancy.insert(to, slot);
-                self.positions[index] = to;
-                self.grid_occupy(to, grid::encode(color));
-                Ok(())
-            }
-            Err(e) => {
-                // Put the lifted particle back so the failed transition
-                // leaves the (already corrupt, but unchanged) state intact
-                // for the auditor.
-                self.occupancy.insert(from, slot);
-                self.grid_occupy(from, grid::encode(color));
-                Err(e)
-            }
-        }
+        self.positions[slot.index as usize] = to;
+        self.edges = edges;
+        self.hetero = hetero;
+        Ok(slot)
     }
 
     /// Swaps the particles at adjacent nodes `a` and `b` (a *swap move*).
@@ -481,6 +529,12 @@ impl Configuration {
     /// performed (positions exchange); the edge counts are unaffected either
     /// way, and `h(σ)` is updated from the local neighborhoods.
     ///
+    /// This is the *reference* commit: it recounts both neighborhoods from
+    /// the occupancy map to derive the hetero delta. The fused proposal
+    /// kernel commits accepted swaps with `Δh = −(gain_i + gain_j)` from its
+    /// ring gather instead, pinned against this path by the
+    /// `kernel_equivalence` suite.
+    ///
     /// # Errors
     ///
     /// * [`ChainStateError::UnoccupiedSource`] — `a` holds no particle;
@@ -502,11 +556,11 @@ impl Configuration {
             .occupancy
             .get(b)
             .ok_or(ChainStateError::UnoccupiedTarget(b))?;
+        // Recount heterogeneous edges in the two neighborhoods. The edge
+        // (a, b) itself is unaffected; edges to third parties flip when the
+        // third party's color separates the two swapped colors.
+        let mut delta: i64 = 0;
         if sa.color != sb.color {
-            // Recount heterogeneous edges in the two neighborhoods. The edge
-            // (a, b) itself stays heterogeneous; edges to third parties flip
-            // when the third party's color separates the two swapped colors.
-            let mut delta: i64 = 0;
             for d in DIRECTIONS {
                 let u = a.neighbor(d);
                 if u != b {
@@ -523,17 +577,62 @@ impl Configuration {
                     }
                 }
             }
-            self.hetero = Self::checked_counter("hetero", self.hetero, delta)?;
         }
-        // Physically exchange the particles.
-        self.occupancy.insert(a, sb);
-        self.occupancy.insert(b, sa);
-        self.positions[sa.index as usize] = b;
-        self.positions[sb.index as usize] = a;
+        self.commit_swap(a, b, delta)
+    }
+
+    /// Swaps the particles at adjacent nodes `a` and `b` with the hetero
+    /// delta the caller already derived (the fused kernel's ring gather:
+    /// `Δh = −(gain_i + gain_j)`, valid for any number of colors). The
+    /// counter is checked before anything mutates, so on error the
+    /// configuration is untouched. Three occupancy-map operations.
+    ///
+    /// # Errors
+    ///
+    /// As [`Configuration::try_swap`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` are not adjacent.
+    pub(crate) fn commit_swap(
+        &mut self,
+        a: Node,
+        b: Node,
+        d_hetero: i64,
+    ) -> Result<(), ChainStateError> {
+        assert!(a.is_adjacent(b), "swap nodes {a} and {b} are not adjacent");
+        let (sa, sb) = self.swap_entries(a, b, d_hetero)?;
         // Both nodes were occupied, hence in-raster; only the codes change.
         self.grid_occupy(a, grid::encode(sb.color));
         self.grid_occupy(b, grid::encode(sa.color));
         Ok(())
+    }
+
+    /// The occupancy-map, position-table and counter half of a swap with a
+    /// known hetero delta, shared by [`Configuration::commit_swap`] and
+    /// [`Configuration::apply_sharded_swap`]; returns the slots that were
+    /// at `a` and `b`.
+    fn swap_entries(
+        &mut self,
+        a: Node,
+        b: Node,
+        d_hetero: i64,
+    ) -> Result<(Slot, Slot), ChainStateError> {
+        let (_, hetero) = self.checked_counters(0, d_hetero)?;
+        let sa = *self
+            .occupancy
+            .get(a)
+            .ok_or(ChainStateError::UnoccupiedSource(a))?;
+        let sb = self
+            .occupancy
+            .get_mut(b)
+            .map(|slot| core::mem::replace(slot, sa))
+            .ok_or(ChainStateError::UnoccupiedTarget(b))?;
+        *self.occupancy.get_mut(a).expect("`a` was found above") = sb;
+        self.positions[sa.index as usize] = b;
+        self.positions[sb.index as usize] = a;
+        self.hetero = hetero;
+        Ok((sa, sb))
     }
 
     /// Applies a move the sharded engine already committed to the raster:
@@ -545,22 +644,16 @@ impl Configuration {
     ///
     /// # Panics
     ///
-    /// Panics if `from` holds no particle or a delta would wrap a tracked
-    /// counter. Both prove pre-existing state corruption, and by this
-    /// point the raster half of the transition is already applied, so
-    /// unlike [`Configuration::try_move_particle`] there is no untouched
-    /// state to hand back — a loud stop is the only honest option.
+    /// Panics if `from` holds no particle, `to` already holds one, or a
+    /// delta would wrap a tracked counter. All prove pre-existing state
+    /// corruption, and by this point the raster half of the transition is
+    /// already applied, so unlike [`Configuration::try_move_particle`]
+    /// there is no untouched state to hand back — a loud stop is the only
+    /// honest option.
     pub(crate) fn apply_sharded_move(&mut self, from: Node, to: Node, d_edges: i64, d_hetero: i64) {
-        let slot = self
-            .occupancy
-            .remove(from)
-            .unwrap_or_else(|| panic!("sharded move: {}", ChainStateError::UnoccupiedSource(from)));
-        self.edges = Self::checked_counter("edges", self.edges, d_edges)
-            .unwrap_or_else(|e| panic!("sharded move: {e}"));
-        self.hetero = Self::checked_counter("hetero", self.hetero, d_hetero)
-            .unwrap_or_else(|e| panic!("sharded move: {e}"));
-        self.occupancy.insert(to, slot);
-        self.positions[slot.index as usize] = to;
+        if let Err(e) = self.move_entry(from, to, d_edges, d_hetero) {
+            panic!("sharded move: {e}");
+        }
     }
 
     /// Applies a swap the sharded engine already committed to the raster:
@@ -568,20 +661,9 @@ impl Configuration {
     /// precomputed hetero delta. See [`Configuration::apply_sharded_move`]
     /// for why corruption panics here.
     pub(crate) fn apply_sharded_swap(&mut self, a: Node, b: Node, d_hetero: i64) {
-        let sa = *self
-            .occupancy
-            .get(a)
-            .unwrap_or_else(|| panic!("sharded swap: {}", ChainStateError::UnoccupiedSource(a)));
-        let sb = *self
-            .occupancy
-            .get(b)
-            .unwrap_or_else(|| panic!("sharded swap: {}", ChainStateError::UnoccupiedTarget(b)));
-        self.hetero = Self::checked_counter("hetero", self.hetero, d_hetero)
-            .unwrap_or_else(|e| panic!("sharded swap: {e}"));
-        self.occupancy.insert(a, sb);
-        self.occupancy.insert(b, sa);
-        self.positions[sa.index as usize] = b;
-        self.positions[sb.index as usize] = a;
+        if let Err(e) = self.swap_entries(a, b, d_hetero) {
+            panic!("sharded swap: {e}");
+        }
     }
 
     /// The raster cache, if the system is currently rasterized.

@@ -17,7 +17,7 @@
 //! map-probing fallback, and [`crate::Configuration::audit`] cross-checks
 //! the raster against the map whenever one is present).
 
-use sops_lattice::{ring_offsets, Direction, Node, RING_OFFSETS};
+use sops_lattice::{ring_offsets, Direction, Node};
 
 use crate::Color;
 
@@ -263,157 +263,16 @@ impl ColorGrid {
 
     /// The eight ring cell codes of the pair `{from, from + dir}`, in ring
     /// order — the raster-native gather behind
-    /// [`crate::Configuration::ring_gather`].
-    ///
-    /// Dispatches between two bit-for-bit identical implementations:
-    /// per-node probes (the default) and the row-window gather behind the
-    /// off-by-default `ring-windows` feature (see
-    /// [`ColorGrid::ring_codes_windowed`] for why it lost the benchmark).
-    /// Both are always compiled and cross-tested.
+    /// [`crate::Configuration::ring_gather`]: eight independent
+    /// [`ColorGrid::code`] probes (each a multiply, two range checks, and a
+    /// byte load). The probes hit 3–4 adjacent raster rows already in
+    /// cache, and each is branch-predictable straight-line code.
     #[inline]
     pub(crate) fn ring_codes(&self, from: Node, dir: Direction) -> [u8; 8] {
-        if cfg!(feature = "ring-windows") {
-            self.ring_codes_windowed(from, dir)
-        } else {
-            self.ring_codes_probed(from, dir)
-        }
-    }
-
-    /// [`ColorGrid::ring_codes`] as eight independent [`ColorGrid::code`]
-    /// probes (each a multiply, two range checks, and a byte load). The
-    /// measured-faster default: the probes hit 3–4 adjacent raster rows
-    /// already in cache, and each is branch-predictable straight-line
-    /// code.
-    #[inline]
-    pub(crate) fn ring_codes_probed(&self, from: Node, dir: Direction) -> [u8; 8] {
         let offsets = ring_offsets(dir);
         core::array::from_fn(|k| self.code(from + offsets[k]))
     }
-
-    /// [`ColorGrid::ring_codes`] as 3–4 short row windows: one 4-byte load
-    /// per raster row the ring touches, with each ring lane extracted by a
-    /// constant shift from its row's window (see [`RING_ROW_WINDOWS`]).
-    /// Rings too close to the raster edge for whole-window loads fall back
-    /// to per-node probes, so the result is bit-for-bit identical to the
-    /// probe path everywhere.
-    ///
-    /// Kept behind the off-by-default `ring-windows` feature: paired
-    /// benchmarks (see EXPERIMENTS.md) measured it *slower* than the probe
-    /// path on the bench host — the per-row bounds checks, window
-    /// assembly, and lane-extraction table reads cost more than the five
-    /// byte probes they replace. Retained compiled and cross-tested in
-    /// case wider-vector hosts tip the balance.
-    #[inline]
-    pub(crate) fn ring_codes_windowed(&self, from: Node, dir: Direction) -> [u8; 8] {
-        let rw = &RING_ROW_WINDOWS[dir.index()];
-        let mut windows = [0u32; 4];
-        let stride = self.width as usize;
-        for (r, window) in windows.iter_mut().enumerate().take(rw.nrows as usize) {
-            let dy = from.y.wrapping_add(rw.row_dy[r]).wrapping_sub(self.min_y) as u32;
-            let dx = from
-                .x
-                .wrapping_add(rw.row_min_dx[r])
-                .wrapping_sub(self.min_x) as u32;
-            if dy < self.height && dx < self.width && self.width - dx >= WINDOW_BYTES {
-                let base = dy as usize * stride + dx as usize;
-                let win: [u8; WINDOW_BYTES as usize] = self.cells
-                    [base..base + WINDOW_BYTES as usize]
-                    .try_into()
-                    .expect("window length is fixed");
-                *window = u32::from_le_bytes(win);
-            } else {
-                // Raster-edge ring: per-node probes handle out-of-raster
-                // nodes (unoccupied by construction) exactly.
-                return self.ring_codes_probed(from, dir);
-            }
-        }
-        core::array::from_fn(|k| (windows[rw.lane_row[k] as usize] >> rw.lane_shift[k]) as u8)
-    }
 }
-
-/// Bytes loaded per ring row window. Every ring row spans at most 4
-/// consecutive cells (asserted by the table builder), and the raster's
-/// ≥ [`MARGIN`]-cell border means a whole window around any in-raster
-/// particle is almost always in-raster too.
-const WINDOW_BYTES: u32 = 4;
-
-/// Row-window descriptor for one pair orientation: which raster rows the
-/// ring touches, where each row's 4-byte load starts, and which (row,
-/// shift) extracts each of the eight ring lanes.
-struct RowWindows {
-    nrows: u8,
-    row_dy: [i32; 4],
-    row_min_dx: [i32; 4],
-    lane_row: [u8; 8],
-    /// Bit shift of the lane's byte within its row window: `8 · (dx − row_min_dx)`.
-    lane_shift: [u8; 8],
-}
-
-const fn build_row_windows() -> [RowWindows; 6] {
-    let mut table = [const {
-        RowWindows {
-            nrows: 0,
-            row_dy: [0; 4],
-            row_min_dx: [0; 4],
-            lane_row: [0; 8],
-            lane_shift: [0; 8],
-        }
-    }; 6];
-    let mut d = 0;
-    while d < 6 {
-        let ring = RING_OFFSETS[d];
-        let mut rw = RowWindows {
-            nrows: 0,
-            row_dy: [0; 4],
-            row_min_dx: [0; 4],
-            lane_row: [0; 8],
-            lane_shift: [0; 8],
-        };
-        let mut k = 0;
-        while k < 8 {
-            let node = ring[k];
-            // Find or append the row for this dy.
-            let mut r = 0;
-            while r < rw.nrows as usize {
-                if rw.row_dy[r] == node.y {
-                    break;
-                }
-                r += 1;
-            }
-            if r == rw.nrows as usize {
-                assert!(r < 4, "a ring spans at most 4 rows");
-                rw.row_dy[r] = node.y;
-                rw.row_min_dx[r] = node.x;
-                rw.nrows += 1;
-            } else if node.x < rw.row_min_dx[r] {
-                rw.row_min_dx[r] = node.x;
-            }
-            k += 1;
-        }
-        k = 0;
-        while k < 8 {
-            let node = ring[k];
-            let mut r = 0;
-            while rw.row_dy[r] != node.y {
-                r += 1;
-            }
-            let off = node.x - rw.row_min_dx[r];
-            assert!(
-                off >= 0 && (off as u32) < WINDOW_BYTES,
-                "ring row wider than its window"
-            );
-            rw.lane_row[k] = r as u8;
-            rw.lane_shift[k] = (off * 8) as u8;
-            k += 1;
-        }
-        table[d] = rw;
-        d += 1;
-    }
-    table
-}
-
-/// Per-direction ring row windows, indexed by `Direction::index()`.
-static RING_ROW_WINDOWS: [RowWindows; 6] = build_row_windows();
 
 #[cfg(test)]
 mod tests {
@@ -521,13 +380,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_codes_match_per_node_probes_everywhere() {
+    fn ring_codes_match_the_particle_list_everywhere() {
         use sops_lattice::DIRECTIONS;
-        // A raster with a dense random-ish pattern, probed at interior
-        // nodes, near every edge, and fully outside: the row-window path,
-        // the per-node probe path, and the dispatching `ring_codes` must
-        // all agree bit-for-bit, regardless of which one the
-        // `ring-windows` feature selects.
+        use std::collections::HashMap;
+        // A raster with a dense random-ish pattern, gathered at interior
+        // nodes, near every edge, and fully outside: every ring lane must
+        // hold the code of the particle list's entry at that node (0 where
+        // there is none, including out-of-raster nodes).
         let mut particles = Vec::new();
         for x in 0..9i32 {
             for y in 0..7i32 {
@@ -542,6 +401,7 @@ mod tests {
             }
         }
         let grid = ColorGrid::build(&particles).expect("rasterizes");
+        let codes: HashMap<Node, u8> = particles.iter().map(|&(n, c)| (n, encode(c))).collect();
         let m = MARGIN as i32;
         for y in -(m + 3)..(7 + m + 3) {
             for x in -(m + 3)..(9 + m + 3) {
@@ -549,22 +409,12 @@ mod tests {
                 for dir in DIRECTIONS {
                     let expect: Vec<u8> = ring_offsets(dir)
                         .iter()
-                        .map(|&off| grid.code(from + off))
+                        .map(|&off| codes.get(&(from + off)).copied().unwrap_or(0))
                         .collect();
-                    assert_eq!(
-                        grid.ring_codes_windowed(from, dir).as_slice(),
-                        expect,
-                        "windowed at {from} dir {dir}"
-                    );
-                    assert_eq!(
-                        grid.ring_codes_probed(from, dir).as_slice(),
-                        expect,
-                        "probed at {from} dir {dir}"
-                    );
                     assert_eq!(
                         grid.ring_codes(from, dir).as_slice(),
                         expect,
-                        "dispatch at {from} dir {dir}"
+                        "ring at {from} dir {dir}"
                     );
                 }
             }

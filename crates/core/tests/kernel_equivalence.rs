@@ -39,11 +39,47 @@ impl Rng for ConstRng {
     }
 }
 
-fn assert_streams_identical(chain: SeparationChain, n: usize, n1: usize, seed: u64, steps: u64) {
+/// Asserts, at a checkpoint, that the fused and reference copies hold the
+/// same state and that the fused copy's incrementally tracked `(e(σ), h(σ))`
+/// agrees with the reference's, with a from-scratch recount, and with a
+/// full audit (which also cross-checks the raster against the map).
+fn assert_checkpoint(fused: &Configuration, reference: &Configuration, step: u64) {
+    assert_eq!(
+        fused.canonical_form(),
+        reference.canonical_form(),
+        "state diverged by step {step}"
+    );
+    let tracked = (fused.edge_count(), fused.hetero_edge_count());
+    assert_eq!(
+        tracked,
+        (reference.edge_count(), reference.hetero_edge_count()),
+        "tracked counters diverged from the reference by step {step}"
+    );
+    assert_eq!(
+        tracked,
+        fused.recount(),
+        "tracked counters drifted from a recount by step {step}"
+    );
+    let audit = fused.audit();
+    assert!(
+        audit.is_consistent(),
+        "audit failed at step {step}: {audit:?}"
+    );
+}
+
+/// Drives the fused and reference kernels in lockstep and returns how many
+/// steps were accepted moves and accepted swaps.
+fn assert_streams_identical(
+    chain: SeparationChain,
+    start: Configuration,
+    seed: u64,
+    steps: u64,
+) -> (u64, u64) {
     let mut fused_rng = StdRng::seed_from_u64(seed);
     let mut ref_rng = StdRng::seed_from_u64(seed);
-    let mut fused_config = construct::hexagonal_bicolored(n, n1).unwrap();
+    let mut fused_config = start;
     let mut ref_config = fused_config.clone();
+    let (mut moves, mut swaps) = (0, 0);
 
     for step in 0..steps {
         // Replicate step_detailed's sampling so both kernels receive the
@@ -57,24 +93,23 @@ fn assert_streams_identical(chain: SeparationChain, n: usize, n1: usize, seed: u
         let fused = chain.propose(&mut fused_config, p, d, &mut fused_rng);
         let reference = chain.propose_reference(&mut ref_config, p, d, &mut ref_rng);
         assert_eq!(fused, reference, "outcome diverged at step {step}");
+        moves += u64::from(fused == StepOutcome::MoveAccepted);
+        swaps += u64::from(fused == StepOutcome::SwapAccepted);
         if step % 10_000 == 0 {
-            assert_eq!(
-                fused_config.canonical_form(),
-                ref_config.canonical_form(),
-                "state diverged by step {step}"
-            );
+            assert_checkpoint(&fused_config, &ref_config, step);
         }
     }
-    assert_eq!(fused_config.canonical_form(), ref_config.canonical_form());
-    assert_eq!(
-        (fused_config.edge_count(), fused_config.hetero_edge_count()),
-        (ref_config.edge_count(), ref_config.hetero_edge_count())
-    );
+    assert_checkpoint(&fused_config, &ref_config, steps);
     assert_eq!(
         fused_rng.next_u64(),
         ref_rng.next_u64(),
         "RNG streams diverged over {steps} steps"
     );
+    (moves, swaps)
+}
+
+fn bicolored(n: usize, n1: usize) -> Configuration {
+    construct::hexagonal_bicolored(n, n1).unwrap()
 }
 
 #[test]
@@ -82,18 +117,45 @@ fn fused_kernel_is_rng_and_state_identical_over_100k_steps() {
     // The separating regime (λ, γ large), with swaps: the acceptance
     // criterion's headline equivalence run.
     let chain = SeparationChain::new(Bias::new(4.0, 4.0).unwrap());
-    assert_streams_identical(chain, 48, 24, 2024, 100_000);
+    assert_streams_identical(chain, bicolored(48, 24), 2024, 100_000);
 }
 
 #[test]
 fn fused_kernel_equivalence_without_swaps_and_in_weak_bias_regime() {
     // Swap-ablated chain: exercises the TargetOccupiedHold path heavily.
     let chain = SeparationChain::without_swaps(Bias::new(4.0, 4.0).unwrap());
-    assert_streams_identical(chain, 30, 15, 7, 60_000);
+    assert_streams_identical(chain, bicolored(30, 15), 7, 60_000);
     // λ, γ < 1: every exponent sign flips, so certainly_accepts triggers on
     // the complementary set of proposals and the filter draws elsewhere.
     let chain = SeparationChain::new(Bias::new(0.8, 0.6).unwrap());
-    assert_streams_identical(chain, 30, 10, 99, 60_000);
+    assert_streams_identical(chain, bicolored(30, 10), 99, 60_000);
+}
+
+#[test]
+fn fused_kernel_equivalence_in_the_accept_heavy_integrated_regime() {
+    // λ = 4, γ = 1 at n = 100: the integrated window a sweep spends much of
+    // its time in, where ~40% of steps are accepted swaps — so nearly every
+    // accepted step commits from the ring-derived deltas, not a recount.
+    let chain = SeparationChain::new(Bias::new(4.0, 1.0).unwrap());
+    let (moves, swaps) = assert_streams_identical(chain, bicolored(100, 50), 4242, 100_000);
+    assert!(moves > 1_000, "too few accepted moves: {moves}");
+    assert!(swaps > 30_000, "too few accepted swaps: {swaps}");
+}
+
+#[test]
+fn fused_kernel_equivalence_with_three_colors() {
+    // With k = 3 a swap's third-party neighbor can match neither swapped
+    // color, the case a two-color Δh shortcut would get wrong; the
+    // ring-derived Δh = −(gain_i + gain_j) must still match the recount.
+    let mut rng = StdRng::seed_from_u64(3);
+    let nodes = construct::hexagonal_spiral(60);
+    let particles = construct::multicolor_random(nodes, &[20, 20, 20], &mut rng).unwrap();
+    let start = Configuration::new(particles).unwrap();
+    assert_eq!(start.color_counts(), vec![20, 20, 20]);
+    let chain = SeparationChain::new(Bias::new(3.0, 2.0).unwrap());
+    let (moves, swaps) = assert_streams_identical(chain, start, 33, 100_000);
+    assert!(moves > 1_000, "too few accepted moves: {moves}");
+    assert!(swaps > 10_000, "too few accepted swaps: {swaps}");
 }
 
 #[test]
