@@ -89,110 +89,47 @@ struct Throughput {
     /// The chain's `γ` (`λ` is always 4). Consumers treating the field as
     /// optional (e.g. older `perf_guard` baselines) default to 4.
     gamma: f64,
-    /// `"sequential"` ([`MarkovChain::step`]), `"batched"`
-    /// ([`SeparationChain::run_batched`]), or `"parallel"`
-    /// ([`SeparationChain::run_parallel`]); consumers treating the field as
-    /// optional (e.g. older `perf_guard` baselines) default to sequential.
-    kernel: &'static str,
-    /// Worker threads (always 1 for the single-threaded kernels).
-    threads: usize,
     ns_per_step: f64,
 }
 
-/// The worker-thread counts benchmarked for the `parallel` kernel: 1
-/// (contract-equivalent to sequential, measures engine overhead), 2 (the
-/// smallest genuinely sharded schedule), and whatever parallelism the host
-/// actually offers, deduplicated.
-fn bench_thread_counts() -> Vec<usize> {
-    let avail = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut counts = vec![1, 2, avail];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
 fn bench_chain_step() -> Vec<Throughput> {
-    // The batched and parallel engines' per-step cost is only meaningful
-    // amortized over whole blocks/rounds, so their bench bodies run a
-    // fixed step count per iteration and divide. The count is large
-    // enough that the per-call setup (scratch allocation, sampler
-    // construction, round planning) vanishes into the per-step figure
-    // instead of inflating it.
-    const BULK_STEPS: u64 = 4096;
-    let mut rows = Vec::new();
-    for n in [25usize, 100, 400] {
-        for swaps in [true, false] {
-            let chain = if swaps {
-                SeparationChain::new(Bias::new(4.0, 4.0).unwrap())
-            } else {
-                SeparationChain::without_swaps(Bias::new(4.0, 4.0).unwrap())
-            };
-            let label = if swaps { "with_swaps" } else { "without_swaps" };
-            let mut config = seeded_config(n);
-            let mut rng = StdRng::seed_from_u64(1);
-            let ns = bench(&format!("chain_step/{label}/{n}"), || {
-                black_box(chain.step(&mut config, &mut rng));
-            });
-            rows.push(Throughput {
-                n,
-                swaps,
-                gamma: 4.0,
-                kernel: "sequential",
-                threads: 1,
-                ns_per_step: ns,
-            });
-            let mut config = seeded_config(n);
-            let mut rng = StdRng::seed_from_u64(1);
-            let ns = bench(&format!("chain_step_batched/{label}/{n}"), || {
-                black_box(chain.run_batched(&mut config, BULK_STEPS, &mut rng));
-            }) / BULK_STEPS as f64;
-            rows.push(Throughput {
-                n,
-                swaps,
-                gamma: 4.0,
-                kernel: "batched",
-                threads: 1,
-                ns_per_step: ns,
-            });
-            for threads in bench_thread_counts() {
-                let mut config = seeded_config(n);
-                let mut rng = StdRng::seed_from_u64(1);
-                let ns = bench(
-                    &format!("chain_step_parallel/{label}/{n}/t{threads}"),
-                    || {
-                        black_box(chain.run_parallel(&mut config, BULK_STEPS, threads, &mut rng));
-                    },
-                ) / BULK_STEPS as f64;
-                rows.push(Throughput {
-                    n,
-                    swaps,
-                    gamma: 4.0,
-                    kernel: "parallel",
-                    threads,
-                    ns_per_step: ns,
-                });
-            }
-        }
-    }
-    // λ = 4, γ = 1: the integrated regime, where ~40% of steps are accepted
+    // λ = γ = 4 at every size, swaps on and off, plus λ = 4, γ = 1 at
+    // n = 100: the integrated regime, where ~40% of steps are accepted
     // swaps — the only row whose cost is dominated by the accept path
     // (λ = γ = 4 accepts ~1.4% of steps).
-    let n = 100;
-    let chain = SeparationChain::new(Bias::new(4.0, 1.0).unwrap());
-    let mut config = seeded_config(n);
-    let mut rng = StdRng::seed_from_u64(1);
-    let ns = bench(&format!("chain_step/with_swaps/{n}/gamma1"), || {
-        black_box(chain.step(&mut config, &mut rng));
-    });
-    rows.push(Throughput {
-        n,
-        swaps: true,
-        gamma: 1.0,
-        kernel: "sequential",
-        threads: 1,
-        ns_per_step: ns,
-    });
-    rows
+    let mut cases: Vec<(usize, bool, f64)> = [25usize, 100, 400]
+        .into_iter()
+        .flat_map(|n| [(n, true, 4.0), (n, false, 4.0)])
+        .collect();
+    cases.push((100, true, 1.0));
+    cases
+        .into_iter()
+        .map(|(n, swaps, gamma)| {
+            let bias = Bias::new(4.0, gamma).unwrap();
+            let chain = if swaps {
+                SeparationChain::new(bias)
+            } else {
+                SeparationChain::without_swaps(bias)
+            };
+            let label = if swaps { "with_swaps" } else { "without_swaps" };
+            let suffix = if gamma == 4.0 {
+                String::new()
+            } else {
+                format!("/gamma{gamma}")
+            };
+            let mut config = seeded_config(n);
+            let mut rng = StdRng::seed_from_u64(1);
+            let ns = bench(&format!("chain_step/{label}/{n}{suffix}"), || {
+                black_box(chain.step(&mut config, &mut rng));
+            });
+            Throughput {
+                n,
+                swaps,
+                gamma,
+                ns_per_step: ns,
+            }
+        })
+        .collect()
 }
 
 /// The tentpole acceptance measurement: stepping through a disabled
@@ -334,13 +271,11 @@ fn write_bench_chain_json(throughput: &[Throughput], overhead: &OverheadBaseline
     json.push_str("  \"throughput\": [\n");
     for (i, row) in throughput.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"n\": {}, \"swaps\": {}, \"gamma\": {}, \"kernel\": \"{}\", \
-             \"threads\": {}, \"ns_per_step\": {}, \"steps_per_sec\": {}}}{}\n",
+            "    {{\"n\": {}, \"swaps\": {}, \"gamma\": {}, \"ns_per_step\": {}, \
+             \"steps_per_sec\": {}}}{}\n",
             row.n,
             row.swaps,
             json_f64(row.gamma),
-            row.kernel,
-            row.threads,
             json_f64(row.ns_per_step),
             json_f64(1e9 / row.ns_per_step),
             if i + 1 < throughput.len() { "," } else { "" },

@@ -3,19 +3,13 @@
 //! Compares a freshly measured chain-step throughput against the committed
 //! baseline and fails (exit code 1) when a reference row — `n = 100` with
 //! swaps enabled, the paper's Figure 2 working point — regresses by more
-//! than the tolerance. The sequential, batched, and sharded-parallel
-//! kernel rows are all guarded: each kernel (and, for the parallel
-//! kernel, each thread count — rows are keyed `parallel[t=2]`) present in
-//! *both* files is compared independently, and any of them regressing
-//! fails the run. Baselines predating the batched engine carry no
-//! `"kernel"` field; such rows are treated as sequential, so old
-//! baselines keep guarding the sequential kernel and simply skip the
-//! newer comparisons (likewise for pre-parallel baselines without
-//! `"threads"`). Rows are keyed on the chain's γ as well (`sequential[γ=1]`
-//! is the accept-heavy integrated-regime row); a row without a `"gamma"`
-//! field predates it and reads as γ = 4, the bias every older row used.
-//! Both numbers are printed either way, so every CI run logs the current
-//! and recorded throughput side by side.
+//! than the tolerance. Rows are keyed on the chain's γ (`γ=1` is the
+//! accept-heavy integrated-regime row); a row without a `"gamma"` field
+//! predates it and reads as γ = 4, the bias every older row used. Every
+//! guarded baseline row must appear in the fresh run: a bench row that was
+//! renamed or dropped fails the guard instead of silently losing it. Both
+//! numbers are printed either way, so every CI run logs the current and
+//! recorded throughput side by side.
 //!
 //! ```text
 //! perf_guard <baseline.json> <fresh.json> [--tolerance-pct <pct>]
@@ -27,20 +21,17 @@
 
 use std::process::ExitCode;
 
-/// The guarded rows: `n = 100`, swaps enabled, one per kernel and γ.
+/// The guarded rows: `n = 100`, swaps enabled, one per γ.
 const GUARD_N: u64 = 100;
 
 /// The γ of a row without a `"gamma"` field.
 const DEFAULT_GAMMA: f64 = 4.0;
 
-/// Extracts `kernel → steps_per_sec` for the guarded rows from
+/// Extracts `γ=gamma → steps_per_sec` for the guarded rows from
 /// `BENCH_chain.json` text. The file is written line-per-row by the
 /// microbench harness, so a line-oriented scan is exact for its own output
 /// (and tolerant of reformatting, since it keys on the `"n"`/`"swaps"`/
-/// `"kernel"`/`"threads"`/`"gamma"` fields, not position). A row without a
-/// `"kernel"` field is a pre-batching sequential row; multi-thread rows
-/// are keyed `kernel[t=threads]` and rows at γ ≠ 4 `kernel[γ=gamma]`, so
-/// each thread count and bias is guarded as its own row.
+/// `"gamma"` fields, not position).
 fn throughput_rows(json: &str) -> Vec<(String, f64)> {
     let mut rows = Vec::new();
     for line in json.lines() {
@@ -53,14 +44,6 @@ fn throughput_rows(json: &str) -> Vec<(String, f64)> {
         if field(line, "\"swaps\":") != Some("true") {
             continue;
         }
-        let mut kernel = field(line, "\"kernel\":")
-            .map_or("sequential", |k| k.trim_matches('"'))
-            .to_string();
-        if let Some(threads) = field(line, "\"threads\":") {
-            if threads != "1" {
-                kernel = format!("{kernel}[t={threads}]");
-            }
-        }
         let gamma = match field(line, "\"gamma\":") {
             None => DEFAULT_GAMMA,
             Some(g) => match g.parse::<f64>() {
@@ -68,11 +51,8 @@ fn throughput_rows(json: &str) -> Vec<(String, f64)> {
                 Err(_) => continue,
             },
         };
-        if gamma != DEFAULT_GAMMA {
-            kernel = format!("{kernel}[γ={gamma}]");
-        }
         if let Some(sps) = field(line, "\"steps_per_sec\":").and_then(|v| v.parse().ok()) {
-            rows.push((kernel, sps));
+            rows.push((format!("γ={gamma}"), sps));
         }
     }
     rows
@@ -130,57 +110,85 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut compared = 0usize;
-    let mut failed = false;
-    for (kernel, baseline) in &baseline_rows {
-        let Some((_, fresh)) = fresh_rows.iter().find(|(k, _)| k == kernel) else {
-            println!("perf guard: {kernel} kernel absent from fresh run, skipping");
+    println!("perf guard: baseline {baseline_path}, fresh {fresh_path}");
+    let failures = guard(&baseline_rows, &fresh_rows, tolerance_pct);
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("perf_guard: FAIL — {failure}");
+        }
+        return ExitCode::FAILURE;
+    }
+    println!(
+        "perf guard: OK ({} row(s) within tolerance)",
+        baseline_rows.len()
+    );
+    ExitCode::SUCCESS
+}
+
+/// Compares every guarded baseline row with the same row of the fresh run,
+/// printing both numbers, and returns one message per failing row: a row
+/// whose throughput fell by more than `tolerance_pct`, or a row the fresh
+/// run does not have.
+fn guard(baseline: &[(String, f64)], fresh: &[(String, f64)], tolerance_pct: f64) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (key, baseline) in baseline {
+        let Some((_, fresh)) = fresh.iter().find(|(k, _)| k == key) else {
+            failures.push(format!("row {key} is absent from the fresh run"));
             continue;
         };
-        compared += 1;
         let change_pct = (fresh / baseline - 1.0) * 100.0;
-        println!("perf guard: chain_step n={GUARD_N} swaps=true kernel={kernel}");
-        println!("  baseline  {baseline:>14.0} steps/sec  ({baseline_path})");
-        println!("  fresh     {fresh:>14.0} steps/sec  ({fresh_path})");
+        println!("perf guard: chain_step n={GUARD_N} swaps=true {key}");
+        println!("  baseline  {baseline:>14.0} steps/sec");
+        println!("  fresh     {fresh:>14.0} steps/sec");
         println!("  change    {change_pct:>+13.1}%   (tolerance −{tolerance_pct}%)");
         if *fresh < baseline * (1.0 - tolerance_pct / 100.0) {
-            eprintln!(
-                "perf_guard: FAIL — {kernel} throughput regressed {:.1}% \
-                 (> {tolerance_pct}% allowed)",
+            failures.push(format!(
+                "{key} throughput regressed {:.1}% (> {tolerance_pct}% allowed)",
                 -change_pct
-            );
-            failed = true;
+            ));
         }
     }
-    if compared == 0 {
-        eprintln!("perf_guard: FAIL — no kernel present in both baseline and fresh run");
-        return ExitCode::FAILURE;
-    }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    println!("perf guard: OK ({compared} kernel(s) within tolerance)");
-    ExitCode::SUCCESS
+    failures
 }
 
 #[cfg(test)]
 mod tests {
-    use super::throughput_rows;
+    use super::{guard, throughput_rows};
 
     #[test]
-    fn rows_are_keyed_on_kernel_threads_and_gamma() {
+    fn rows_are_keyed_on_gamma() {
         let json = r#"
-    {"n": 100, "swaps": true, "kernel": "sequential", "threads": 1, "ns_per_step": 20.0, "steps_per_sec": 50000000.0},
-    {"n": 100, "swaps": true, "gamma": 4.0, "kernel": "parallel", "threads": 2, "ns_per_step": 40.0, "steps_per_sec": 25000000.0},
-    {"n": 100, "swaps": true, "gamma": 1.0, "kernel": "sequential", "threads": 1, "ns_per_step": 80.0, "steps_per_sec": 12500000.0},
-    {"n": 100, "swaps": false, "gamma": 1.0, "kernel": "sequential", "threads": 1, "ns_per_step": 80.0, "steps_per_sec": 12500000.0},
-    {"n": 25, "swaps": true, "gamma": 1.0, "kernel": "sequential", "threads": 1, "ns_per_step": 80.0, "steps_per_sec": 12500000.0}
+    {"n": 100, "swaps": true, "ns_per_step": 20.0, "steps_per_sec": 50000000.0},
+    {"n": 100, "swaps": true, "gamma": 1.0, "ns_per_step": 80.0, "steps_per_sec": 12500000.0},
+    {"n": 100, "swaps": false, "gamma": 1.0, "ns_per_step": 80.0, "steps_per_sec": 12500000.0},
+    {"n": 25, "swaps": true, "gamma": 1.0, "ns_per_step": 80.0, "steps_per_sec": 12500000.0}
 "#;
         let rows = throughput_rows(json);
         let keys: Vec<&str> = rows.iter().map(|(k, _)| k.as_str()).collect();
-        // A row without "gamma" reads as γ = 4 and keeps its old key, so an
-        // older baseline still guards the same rows.
-        assert_eq!(keys, ["sequential", "parallel[t=2]", "sequential[γ=1]"]);
-        assert_eq!(rows[2].1, 12_500_000.0);
+        // A row without "gamma" reads as γ = 4, so an older baseline still
+        // guards the same row.
+        assert_eq!(keys, ["γ=4", "γ=1"]);
+        assert_eq!(rows[1].1, 12_500_000.0);
+    }
+
+    #[test]
+    fn a_baseline_row_absent_from_the_fresh_run_fails() {
+        let baseline = [("γ=4".to_string(), 4.0e7), ("γ=1".to_string(), 1.0e7)];
+        let both = [("γ=1".to_string(), 1.0e7), ("γ=4".to_string(), 4.0e7)];
+        assert!(guard(&baseline, &both, 25.0).is_empty());
+        let failures = guard(&baseline, &both[1..], 25.0);
+        assert_eq!(failures, ["row γ=1 is absent from the fresh run"]);
+        // A fresh row the baseline lacks is new, not a regression.
+        assert!(guard(&baseline[..1], &both, 25.0).is_empty());
+    }
+
+    #[test]
+    fn a_regression_beyond_the_tolerance_fails() {
+        let baseline = [("γ=4".to_string(), 4.0e7)];
+        assert!(guard(&baseline, &[("γ=4".to_string(), 3.1e7)], 25.0).is_empty());
+        assert_eq!(
+            guard(&baseline, &[("γ=4".to_string(), 2.9e7)], 25.0).len(),
+            1
+        );
     }
 }

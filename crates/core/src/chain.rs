@@ -52,14 +52,14 @@ pub struct SeparationChain {
     tables: KernelTables,
 }
 
-/// The chain's precomputed λ/γ [`PowerTable`]s — the kernels' replacement
-/// for per-accept `powi`. Every Metropolis exponent a proposal can produce
-/// lies inside the tables' exactly-covered range (move exponents in
-/// `[−5, 5]`, swap exponents in `[−10, 10]` vs. a ±12 table), so lookups are
-/// bit-identical to `PowerRatio::value()` and the table-driven kernels stay
-/// pinned to the `propose_reference` oracle.
+/// The chain's precomputed λ/γ [`PowerTable`]s — the fused kernel's
+/// replacement for per-accept `powi`. Every Metropolis exponent a proposal
+/// can produce lies inside the tables' exactly-covered range (move
+/// exponents in `[−5, 5]`, swap exponents in `[−10, 10]` vs. a ±12 table),
+/// so lookups are bit-identical to `PowerRatio::value()` and the fused
+/// kernel stays pinned to the `propose_reference` oracle.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct KernelTables {
+struct KernelTables {
     lambda: PowerTable,
     gamma: PowerTable,
 }
@@ -77,14 +77,14 @@ impl KernelTables {
     /// `λ^{Δe} · γ^{Δe_i}` — a move's acceptance ratio, bit-identical to
     /// `PowerRatio::new([λ, γ], [Δe, Δe_i]).value()`.
     #[inline]
-    pub(crate) fn move_value(&self, de: i32, dei: i32) -> f64 {
+    fn move_value(&self, de: i32, dei: i32) -> f64 {
         self.lambda.pow(de) * self.gamma.pow(dei)
     }
 
     /// `γ^{gain}` — a swap's acceptance ratio, bit-identical to
     /// `PowerRatio::new([γ], [gain]).value()`.
     #[inline]
-    pub(crate) fn swap_value(&self, gain: i32) -> f64 {
+    fn swap_value(&self, gain: i32) -> f64 {
         self.gamma.pow(gain)
     }
 }
@@ -114,12 +114,6 @@ impl SeparationChain {
         }
     }
 
-    /// The chain's power tables (for the batched engine in [`crate::batch`]).
-    #[inline]
-    pub(crate) fn tables(&self) -> &KernelTables {
-        &self.tables
-    }
-
     /// Runs the Metropolis filter for a move with exponents `(Δe, Δe_i)`
     /// through the power tables: certainty by sign inspection (no draw),
     /// then `accept` on the table-evaluated ratio (draws only when the
@@ -127,7 +121,7 @@ impl SeparationChain {
     /// `PowerRatio::new([λ, γ], [Δe, Δe_i]).accept(rng)` does, minus the
     /// `powi` calls.
     #[inline]
-    pub(crate) fn metropolis_move<R: Rng + ?Sized>(&self, de: i32, dei: i32, rng: &mut R) -> bool {
+    fn metropolis_move<R: Rng + ?Sized>(&self, de: i32, dei: i32, rng: &mut R) -> bool {
         (metropolis::factor_certainly_ge_one(self.bias.lambda(), de)
             && metropolis::factor_certainly_ge_one(self.bias.gamma(), dei))
             || metropolis::accept(self.tables.move_value(de, dei), rng)
@@ -136,7 +130,7 @@ impl SeparationChain {
     /// The swap counterpart of [`SeparationChain::metropolis_move`]:
     /// equivalent to `PowerRatio::new([γ], [gain]).accept(rng)`.
     #[inline]
-    pub(crate) fn metropolis_swap<R: Rng + ?Sized>(&self, gain: i32, rng: &mut R) -> bool {
+    fn metropolis_swap<R: Rng + ?Sized>(&self, gain: i32, rng: &mut R) -> bool {
         metropolis::factor_certainly_ge_one(self.bias.gamma(), gain)
             || metropolis::accept(self.tables.swap_value(gain), rng)
     }

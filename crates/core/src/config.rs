@@ -476,25 +476,6 @@ impl Configuration {
             from.is_adjacent(to),
             "move target {to} is not adjacent to {from}"
         );
-        let slot = self.move_entry(from, to, d_edges, d_hetero)?;
-        debug_assert_eq!(slot.index as usize, index);
-        if let Some(g) = &mut self.grid {
-            g.clear(from);
-        }
-        self.grid_occupy(to, grid::encode(slot.color));
-        Ok(())
-    }
-
-    /// The occupancy-map, position-table and counter half of a move with
-    /// known deltas, shared by [`Configuration::commit_move`] and
-    /// [`Configuration::apply_sharded_move`]; the raster is the caller's.
-    fn move_entry(
-        &mut self,
-        from: Node,
-        to: Node,
-        d_edges: i64,
-        d_hetero: i64,
-    ) -> Result<Slot, ChainStateError> {
         let (edges, hetero) = self.checked_counters(d_edges, d_hetero)?;
         let slot = self
             .occupancy
@@ -503,10 +484,15 @@ impl Configuration {
         if self.occupancy.insert(to, slot).is_some() {
             panic!("move target {to} is occupied");
         }
+        debug_assert_eq!(slot.index as usize, index);
         self.positions[slot.index as usize] = to;
         self.edges = edges;
         self.hetero = hetero;
-        Ok(slot)
+        if let Some(g) = &mut self.grid {
+            g.clear(from);
+        }
+        self.grid_occupy(to, grid::encode(slot.color));
+        Ok(())
     }
 
     /// Swaps the particles at adjacent nodes `a` and `b` (a *swap move*).
@@ -601,23 +587,6 @@ impl Configuration {
         d_hetero: i64,
     ) -> Result<(), ChainStateError> {
         assert!(a.is_adjacent(b), "swap nodes {a} and {b} are not adjacent");
-        let (sa, sb) = self.swap_entries(a, b, d_hetero)?;
-        // Both nodes were occupied, hence in-raster; only the codes change.
-        self.grid_occupy(a, grid::encode(sb.color));
-        self.grid_occupy(b, grid::encode(sa.color));
-        Ok(())
-    }
-
-    /// The occupancy-map, position-table and counter half of a swap with a
-    /// known hetero delta, shared by [`Configuration::commit_swap`] and
-    /// [`Configuration::apply_sharded_swap`]; returns the slots that were
-    /// at `a` and `b`.
-    fn swap_entries(
-        &mut self,
-        a: Node,
-        b: Node,
-        d_hetero: i64,
-    ) -> Result<(Slot, Slot), ChainStateError> {
         let (_, hetero) = self.checked_counters(0, d_hetero)?;
         let sa = *self
             .occupancy
@@ -632,51 +601,16 @@ impl Configuration {
         self.positions[sa.index as usize] = b;
         self.positions[sb.index as usize] = a;
         self.hetero = hetero;
-        Ok((sa, sb))
-    }
-
-    /// Applies a move the sharded engine already committed to the raster:
-    /// updates the occupancy map, the position table, and the tracked
-    /// counters from the shard's precomputed deltas, deliberately *not*
-    /// touching the raster (the shard worker mutated its row band in
-    /// place, and recomputing the deltas against the post-round raster
-    /// would be wrong anyway — they were evaluated mid-round).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` holds no particle, `to` already holds one, or a
-    /// delta would wrap a tracked counter. All prove pre-existing state
-    /// corruption, and by this point the raster half of the transition is
-    /// already applied, so unlike [`Configuration::try_move_particle`]
-    /// there is no untouched state to hand back — a loud stop is the only
-    /// honest option.
-    pub(crate) fn apply_sharded_move(&mut self, from: Node, to: Node, d_edges: i64, d_hetero: i64) {
-        if let Err(e) = self.move_entry(from, to, d_edges, d_hetero) {
-            panic!("sharded move: {e}");
-        }
-    }
-
-    /// Applies a swap the sharded engine already committed to the raster:
-    /// exchanges the two occupancy entries and applies the shard's
-    /// precomputed hetero delta. See [`Configuration::apply_sharded_move`]
-    /// for why corruption panics here.
-    pub(crate) fn apply_sharded_swap(&mut self, a: Node, b: Node, d_hetero: i64) {
-        if let Err(e) = self.swap_entries(a, b, d_hetero) {
-            panic!("sharded swap: {e}");
-        }
+        // Both nodes were occupied, hence in-raster; only the codes change.
+        self.grid_occupy(a, grid::encode(sb.color));
+        self.grid_occupy(b, grid::encode(sa.color));
+        Ok(())
     }
 
     /// The raster cache, if the system is currently rasterized.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn raster(&self) -> Option<&ColorGrid> {
         self.grid.as_ref()
-    }
-
-    /// Mutable access to the raster cache for the sharded engine, which
-    /// hands disjoint row bands of it to worker threads.
-    #[inline]
-    pub(crate) fn raster_mut(&mut self) -> Option<&mut ColorGrid> {
-        self.grid.as_mut()
     }
 
     /// Marks `node` occupied with `code` in the raster cache, rebuilding the
@@ -1150,9 +1084,7 @@ pub struct RingGather {
 
 impl RingGather {
     /// Builds a gather from eight raster cell codes in ring order — the
-    /// shared decode step of [`Configuration::ring_gather`]'s raster path
-    /// and the sharded engine's stripe-local gathers, so all raster
-    /// consumers stay bit-for-bit interchangeable.
+    /// decode step of [`Configuration::ring_gather`]'s raster path.
     #[inline]
     pub(crate) fn from_codes(codes: [u8; 8]) -> Self {
         let mut occupancy = 0u8;
@@ -1191,23 +1123,6 @@ impl RingGather {
     #[must_use]
     pub fn color_at(&self, k: usize) -> Option<Color> {
         (self.occupancy & (1 << k) != 0).then(|| self.colors[k])
-    }
-
-    /// Bitmask of the occupied ring positions holding `color` — the packed
-    /// form the batched kernel stores per lane so every colored-neighbor
-    /// count becomes a masked popcount over a byte array
-    /// (`colored_in(mask, c) ≡ (color_mask(c) & mask).count_ones()`).
-    #[inline]
-    #[must_use]
-    pub fn color_mask(&self, color: Color) -> u8 {
-        let mut out = 0u8;
-        let mut bits = self.occupancy;
-        while bits != 0 {
-            let k = bits.trailing_zeros();
-            out |= u8::from(self.colors[k as usize] == color) << k;
-            bits &= bits - 1;
-        }
-        out
     }
 }
 

@@ -222,43 +222,10 @@ impl ColorGrid {
         self.cells.iter().filter(|&&c| c != 0).count()
     }
 
-    /// Smallest in-raster x coordinate.
-    #[inline]
-    pub(crate) fn min_x(&self) -> i32 {
-        self.min_x
-    }
-
-    /// Smallest in-raster y coordinate.
-    #[inline]
-    pub(crate) fn min_y(&self) -> i32 {
-        self.min_y
-    }
-
-    /// Raster width in cells (row stride of [`ColorGrid::cells_mut`]).
-    #[inline]
-    pub(crate) fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Raster height in cells (number of rows).
-    #[inline]
-    pub(crate) fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Border width this raster was built with.
     #[cfg(test)]
     pub(crate) fn margin(&self) -> i64 {
         self.margin
-    }
-
-    /// The raw y-major cell array. Row `r` (lattice row `min_y + r`)
-    /// occupies `cells[r * width .. (r + 1) * width]`; rows being
-    /// contiguous is what lets the sharded engine hand disjoint row bands
-    /// to worker threads via `split_at_mut`.
-    #[inline]
-    pub(crate) fn cells_mut(&mut self) -> &mut [u8] {
-        &mut self.cells
     }
 
     /// The eight ring cell codes of the pair `{from, from + dir}`, in ring
@@ -342,13 +309,13 @@ mod tests {
     fn rebuild_grown_doubles_margin_and_keeps_old_extent() {
         let grid = ColorGrid::build(&[(Node::new(0, 0), Color::C1)]).unwrap();
         assert_eq!(grid.margin(), MARGIN);
-        let old_min_x = grid.min_x();
+        let old_min_x = grid.min_x;
         // Particle drifted just past the border.
         let drifted = vec![(Node::new(MARGIN as i32 + 1, 0), Color::C1)];
         let mut grown = grid.rebuild_grown(&drifted).expect("still rasterizable");
         assert_eq!(grown.margin(), 2 * MARGIN);
         // Hysteresis: the new raster still covers the old one entirely.
-        assert!(grown.min_x() <= old_min_x);
+        assert!(grown.min_x <= old_min_x);
         assert!(grown.set(Node::new(0, -(MARGIN as i32)), 1));
         // And the grown margin extends past the new bounding box.
         assert!(grown.set(Node::new(MARGIN as i32 + 1 + 2 * MARGIN as i32, 0), 1));
@@ -376,7 +343,7 @@ mod tests {
                 None => panic!("policy must back off margin rather than drop the raster"),
             }
         }
-        assert!(grid.width() as u64 * grid.height() as u64 <= MAX_CELLS);
+        assert!(grid.width as u64 * grid.height as u64 <= MAX_CELLS);
     }
 
     #[test]

@@ -58,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 mod chain;
 mod color;
 mod config;
@@ -70,14 +69,11 @@ mod outcome;
 mod params;
 pub mod properties;
 pub mod reconfigure;
-pub mod shard;
 mod snapshot;
 
-pub use batch::{BatchReport, DEFAULT_BLOCK_PROPOSALS, MAX_BLOCK_PROPOSALS};
 pub use chain::{CompressionChain, SeparationChain};
 pub use color::Color;
 pub use config::{CanonicalForm, Configuration, RingGather};
 pub use error::{AuditReport, AuditViolation, ChainStateError, ConfigError, RepairOutcome};
 pub use outcome::StepOutcome;
 pub use params::{thresholds, Bias};
-pub use shard::{run_sharded_reference, ParallelConfig, ParallelReport, MIN_STRIPE_ROWS};
